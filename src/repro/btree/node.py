@@ -310,6 +310,11 @@ class BTreeNode:
         record = Record(self._strip(key), value)
         return self.slotted.room_for(record)
 
+    def room_to_grow(self, nbytes: int) -> bool:
+        """Can a record grow by ``nbytes`` (in place or relocated)?"""
+        slotted = self.slotted
+        return nbytes <= 0 or slotted.free_space + slotted.frag_bytes >= nbytes
+
     def room_for_branch_record(self, key: bytes) -> bool:
         if not key.startswith(self.prefix):
             # An adoption may post a key outside the stale prefix; the

@@ -57,6 +57,18 @@ class TreeContext(Protocol):
         ...
 
 
+def check_entry(key: bytes, value: bytes, page_size: int) -> None:
+    """Reject a record no leaf of ``page_size`` bytes may hold."""
+    if not key:
+        raise BTreeError("empty keys are reserved for -infinity fences")
+    # Guarantee splittability: any two data records plus the
+    # bookkeeping records must fit a page.
+    limit = page_size // 8
+    if len(key) + len(value) > limit:
+        raise BTreeError(
+            f"entry of {len(key) + len(value)} bytes exceeds limit {limit}")
+
+
 class _Retry(Exception):
     """Internal: structural change performed; restart the descent."""
 
@@ -161,13 +173,15 @@ class FosterBTree:
             return f"high fence {node.high_fence!r} != parent key {exp_high!r}"
         return None
 
-    def _descend(self, key: bytes, for_write: bool) -> tuple[Page, BTreeNode]:
+    def _descend(self, key: bytes, for_write: bool,
+                 adopt_now: bool = False) -> tuple[Page, BTreeNode]:
         """Root-to-leaf pass with continuous verification.
 
         Returns the pinned leaf whose range contains ``key``.  With
         ``for_write``, performs opportunistic maintenance (root growth,
-        adoption) in system transactions; a structural change restarts
-        the descent via :class:`_Retry`.
+        adoption — every ``adopt_every``-th chain passed, or the first
+        one with ``adopt_now``) in system transactions; a structural
+        change restarts the descent via :class:`_Retry`.
         """
         root_pid = self.ctx.get_root(self.index_id)
         page, node = self._fix_node(root_pid)
@@ -192,7 +206,8 @@ class FosterBTree:
                 child_pid, exp_low, exp_high, exp_inf, node.level - 1)
             if for_write and child_node.has_foster:
                 self._adopt_opportunities += 1
-                if self._adopt_opportunities % self.adopt_every == 0:
+                if (adopt_now
+                        or self._adopt_opportunities % self.adopt_every == 0):
                     adopted = self._try_adopt(page, node, child_page,
                                               child_node)
                     if adopted:
@@ -205,77 +220,137 @@ class FosterBTree:
     # ------------------------------------------------------------------
     # Public operations
     # ------------------------------------------------------------------
+    # Every write is one (key, value, require) triple applied by
+    # :meth:`_write_leaf`: ``value=None`` deletes (ghosts) the key;
+    # ``require`` is True (the key must be live), False (it must be
+    # absent or a ghost) or None (whatever the leaf holds decides).
     def insert(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Insert ``key`` -> ``value``; duplicate keys are rejected."""
-        self._check_entry(key, value)
-        while True:
-            try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
-            try:
-                i, found = node.find(key)
-                if found and not node.is_ghost(i):
-                    raise DuplicateKey(key)
-                undo = LogicalUndo(UndoAction.DELETE_KEY, key)
-                if found:
-                    # Revive the ghost: restore value, then clear the
-                    # bit.  The value write carries a *no-op logical
-                    # undo*: rolling back the revive only needs to
-                    # re-ghost the record (the DELETE_KEY below); a
-                    # physical slot-indexed undo would be unsafe once
-                    # later inserts have shifted the slots.
-                    self._log(txn, page, node.op_update_value(i, value),
-                              LogicalUndo(UndoAction.NONE, key))
-                    self._log(txn, page, node.op_set_ghost(i, False), undo)
-                    self.stats.bump("btree_inserts")
-                    return
-                if node.room_for(key, value):
-                    self._log(txn, page, node.op_insert(i, key, value), undo)
-                    self.stats.bump("btree_inserts")
-                    return
-            finally:
-                self.ctx.unfix(page.page_id)
-            # No room: split (system transaction) and try again.
-            self._split(page.page_id)
-
-    def delete(self, txn: Transaction, key: bytes) -> None:
-        """Logical deletion: turn the record into a ghost."""
-        while True:
-            try:
-                page, node = self._descend(key, for_write=True)
-            except _Retry:
-                continue
-            try:
-                i, found = node.find(key)
-                if not found or node.is_ghost(i):
-                    raise KeyNotFound(key)
-                undo = LogicalUndo(UndoAction.INSERT_KEY, key, node.value(i))
-                self._log(txn, page, node.op_set_ghost(i, True), undo)
-                self.stats.bump("btree_deletes")
-                return
-            finally:
-                self.ctx.unfix(page.page_id)
+        self._apply_run(txn, [(key, value, False)])
 
     def update(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Replace the value stored under ``key``."""
-        self._check_entry(key, value)
-        while True:
+        self._apply_run(txn, [(key, value, True)])
+
+    def delete(self, txn: Transaction, key: bytes) -> None:
+        """Logical deletion: turn the record into a ghost."""
+        self._apply_run(txn, [(key, None, True)])
+
+    def upsert(self, txn: Transaction, key: bytes, value: bytes) -> bool:
+        """Insert, update or revive a ghost, decided on the leaf one
+        descent reaches; returns whether ``key`` was live before."""
+        return self._apply_run(txn, [(key, value, None)])[0]
+
+    def delete_if_present(self, txn: Transaction, key: bytes) -> bool:
+        """Ghost ``key`` if it is live; returns whether it was."""
+        return self._apply_run(txn, [(key, None, None)])[0]
+
+    def apply_sorted(self, txn: Transaction, ops: list[tuple]) -> list[bool]:
+        """Apply a key-sorted run of ``("put", k, v)`` (upsert) and
+        ``("delete", k)`` (delete if present) ops, one descent per leaf.
+
+        Equal keys keep their order, so the last write to a key wins.
+        Returns, per op, whether its key was live when the op ran.
+        """
+        run = []
+        prev = None
+        for op in ops:
+            key = op[1]
+            if prev is not None and key < prev:
+                raise BTreeError(f"apply_sorted: {key!r} follows {prev!r}")
+            prev = key
+            run.append((key, op[2] if op[0] == "put" else None, None))
+        return self._apply_run(txn, run)
+
+    def _apply_run(self, txn: Transaction,
+                   run: list[tuple[bytes, bytes | None, bool | None]]) -> list[bool]:
+        """Apply key-sorted writes leaf by leaf.
+
+        Each descent pins the leaf responsible for the next write; every
+        following write whose key lies below that leaf's upper bound —
+        its foster key if it has one, otherwise its high fence — is
+        applied on the same pin.  A write that does not fit releases
+        the leaf, splits it, and re-descends.
+        """
+        existed: list[bool] = []
+        i, n = 0, len(run)
+        adopt_now = False
+        while i < n:
             try:
-                page, node = self._descend(key, for_write=True)
+                page, node = self._descend(run[i][0], True, adopt_now)
             except _Retry:
                 continue
+            adopt_now = False
+            full = False
             try:
-                i, found = node.find(key)
-                if not found or node.is_ghost(i):
-                    raise KeyNotFound(key)
-                old_value = node.value(i)
-                undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, old_value)
-                self._log(txn, page, node.op_update_value(i, value), undo)
-                self.stats.bump("btree_updates")
-                return
+                if node.has_foster:
+                    upper = node.foster_key
+                else:
+                    upper = None if node.high_inf else node.high_fence
+                while i < n and (upper is None or run[i][0] < upper):
+                    live = self._write_leaf(txn, page, node, *run[i])
+                    if live is None:
+                        full = True
+                        break
+                    existed.append(live)
+                    i += 1
             finally:
                 self.ctx.unfix(page.page_id)
+            if full:
+                # No room: split (system transaction) and try again.  A
+                # run with more writes to come adopts the new foster
+                # child on its next descent, so a bulk load never grows
+                # one long chain; a single write keeps the amortized
+                # adoption of ``adopt_every``.
+                self._split(page.page_id)
+                adopt_now = i < n - 1
+        return existed
+
+    def _write_leaf(self, txn: Transaction, page: Page, node: BTreeNode,
+                    key: bytes, value: bytes | None,
+                    require: bool | None) -> bool | None:
+        """One write on the pinned leaf responsible for ``key``.
+
+        Returns whether the key was live, or None when the record does
+        not fit until the leaf splits (nothing was logged).
+        """
+        if value is not None:
+            check_entry(key, value, page.size)
+        i, found = node.find(key)
+        live = found and not node.is_ghost(i)
+        if require is not None and require != live:
+            raise DuplicateKey(key) if live else KeyNotFound(key)
+        if value is None:
+            if live:
+                undo = LogicalUndo(UndoAction.INSERT_KEY, key, node.value(i))
+                self._log(txn, page, node.op_set_ghost(i, True), undo)
+                self.stats.bump("btree_deletes")
+            return live
+        if found:
+            old = node.value(i)
+            if not node.room_to_grow(len(value) - len(old)):
+                return None  # a larger value must not meet a full page
+        if live:
+            undo = LogicalUndo(UndoAction.RESTORE_VALUE, key, old)
+            self._log(txn, page, node.op_update_value(i, value), undo)
+            self.stats.bump("btree_updates")
+            return True
+        undo = LogicalUndo(UndoAction.DELETE_KEY, key)
+        if found:
+            # Revive the ghost: restore value, then clear the bit.  The
+            # value write carries a *no-op logical undo*: rolling back
+            # the revive only needs to re-ghost the record (the
+            # DELETE_KEY below); a physical slot-indexed undo would be
+            # unsafe once later inserts have shifted the slots.
+            self._log(txn, page, node.op_update_value(i, value),
+                      LogicalUndo(UndoAction.NONE, key))
+            self._log(txn, page, node.op_set_ghost(i, False), undo)
+        elif node.room_for(key, value):
+            self._log(txn, page, node.op_insert(i, key, value), undo)
+        else:
+            return None
+        self.stats.bump("btree_inserts")
+        return False
 
     def lookup(self, key: bytes) -> bytes:
         """Value stored under ``key``; raises :class:`KeyNotFound`."""
@@ -362,6 +437,9 @@ class FosterBTree:
                     if found and not node.is_ghost(i):
                         self._log_clr(txn, page, node.op_set_ghost(i, True),
                                       undo_next_lsn)
+                elif (found and not node.room_to_grow(
+                        len(undo.value) - len(node.value(i)))):
+                    need_split = True  # the restored value would not fit
                 elif undo.action == UndoAction.INSERT_KEY:
                     # Undo a delete: revive the ghost (or re-insert).
                     if found:
@@ -668,17 +746,6 @@ class FosterBTree:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _check_entry(self, key: bytes, value: bytes) -> None:
-        if not key:
-            raise BTreeError("empty keys are reserved for -infinity fences")
-        # Guarantee splittability: any two data records plus the
-        # bookkeeping records must fit a page.
-        limit = self.ctx.fix(self.ctx.get_root(self.index_id)).size // 8
-        self.ctx.unfix(self.ctx.get_root(self.index_id))
-        if len(key) + len(value) > limit:
-            raise BTreeError(
-                f"entry of {len(key) + len(value)} bytes exceeds limit {limit}")
-
     def depth(self) -> int:
         """Number of levels (1 = a single leaf)."""
         pid = self.ctx.get_root(self.index_id)

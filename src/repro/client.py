@@ -36,7 +36,7 @@ import threading
 from contextlib import contextmanager
 
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database
+from repro.engine.database import Database, check_ops
 from repro.errors import ClientClosedError, ConfigError, KeyNotFound
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
@@ -149,7 +149,16 @@ class Client:
 
     def apply_batch(self, ops: list[tuple]) -> int:
         """Bulk-apply ``[("put", k, v) | ("delete", k), ...]``
-        transactionally per backend unit (the benchmark path)."""
+        transactionally per backend unit (the benchmark path).
+
+        Every op is checked before any is dispatched, so a malformed op
+        applies nothing on either backend."""
+        self._require_open()
+        check_ops(ops, self._page_size)
+        self._apply_batch(ops)
+        return len(ops)
+
+    def _apply_batch(self, ops: list[tuple]) -> None:
         raise NotImplementedError
 
 
@@ -163,6 +172,7 @@ class SingleNodeClient(Client):
         super().__init__()
         self.db = db
         self.owns_db = owns_db
+        self._page_size = db.config.page_size
         if db.indexes:
             self.index_id = db.indexes[0]
         else:
@@ -204,24 +214,21 @@ class SingleNodeClient(Client):
         self.db._require_running()
         return list(self._tree.range_scan(low, high))
 
-    def apply_batch(self, ops: list[tuple]) -> int:
-        self._require_open()
+    def _apply_batch(self, ops: list[tuple]) -> None:
         with self.txn() as t:
-            for op in ops:
-                if op[0] == "put":
-                    t.put(op[1], op[2])
-                elif op[0] == "delete":
-                    t.delete(op[1])
-                else:
-                    raise ConfigError(f"unknown batch op {op[0]!r}")
-        return len(ops)
+            self.db.apply_ops(t.txn, self.index_id, ops)
 
 
 class _SingleNodeTxn:
-    """Transaction handle over one engine: upserts decided against
-    live tree state under the key lock, exactly like the shard
-    worker's branch operations — the differential suite depends on the
-    two interpreting intents identically."""
+    """Transaction handle over one engine.
+
+    Every write — a put, a delete, a whole ``apply_batch`` — is one
+    :meth:`Database.apply_ops` call, the same call the shard worker's
+    verbs make: key locks first, then one verified descent per leaf
+    that decides insert, update, ghost revive or no-op on the leaf it
+    reaches.  Both backends share that one path, so they interpret
+    intents identically by construction.
+    """
 
     def __init__(self, db: Database, index_id: int) -> None:
         self.db = db
@@ -229,35 +236,18 @@ class _SingleNodeTxn:
         self.txn = db.begin()
         self._done = False
 
-    @property
-    def _tree(self):  # noqa: ANN202
-        return self.db.tree(self.index_id)
-
     def get(self, key: bytes) -> bytes | None:
         try:
-            return self._tree.lookup(key)
+            return self.db.tree(self.index_id).lookup(key)
         except KeyNotFound:
             return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        self.db.locks.acquire(self.txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            tree.insert(self.txn, key, value)
-        else:
-            tree.update(self.txn, key, value)
+        self.db.apply_ops(self.txn, self.index_id, [("put", key, value)])
 
     def delete(self, key: bytes) -> bool:
-        self.db.locks.acquire(self.txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            return False
-        tree.delete(self.txn, key)
-        return True
+        return self.db.apply_ops(self.txn, self.index_id,
+                                 [("delete", key)])[0]
 
     def commit(self) -> None:
         if self._done:
@@ -294,6 +284,7 @@ class ShardedClient(Client):
     def __init__(self, router: ShardRouter) -> None:
         super().__init__()
         self.router = router
+        self._page_size = router.config.shard_engine_config(0).page_size
 
     def _txn_handle(self):  # noqa: ANN202 - RouterTxn
         return self.router.txn()
@@ -329,13 +320,12 @@ class ShardedClient(Client):
         self._require_open()
         return self.router.scan(low, high)
 
-    def apply_batch(self, ops: list[tuple]) -> int:
-        self._require_open()
+    def _apply_batch(self, ops: list[tuple]) -> None:
         batches = self.router.partition_batches(ops)
         if self.router.config.transport != "process" or len(batches) <= 1:
             for idx in sorted(batches):
                 self.router.apply_batch(idx, batches[idx])
-            return len(ops)
+            return
         # Process transport: per-shard batches run in real parallel —
         # each thread blocks on its own worker's socket while that
         # worker's engine burns its own core.
@@ -355,4 +345,3 @@ class ShardedClient(Client):
             thread.join()
         if errors:
             raise errors[0]
-        return len(ops)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.btree.tree import FosterBTree
+from repro.btree.tree import FosterBTree, check_entry
 from repro.buffer.buffer_pool import BufferPool
 from repro.buffer.prefetch import Prefetcher
 from repro.core.backup import BackupStore
@@ -51,6 +51,7 @@ from repro.errors import (
     ReproError,
     SinglePageFailure,
     SystemFailure,
+    TransactionError,
 )
 from repro.page.page import Page, PageType
 from repro.page.slotted import SlottedPage
@@ -411,6 +412,37 @@ class Database:
         self.stats.enable_locking()
         return Session(self)
 
+    # Writes ---------------------------------------------------------------
+    def apply_ops(self, txn: Transaction, index_id: int,
+                  ops: list[tuple]) -> list[bool]:
+        """Apply ``[("put", k, v) | ("delete", k), ...]`` within ``txn``.
+
+        The one write path of the client facade and the shard worker: a
+        put inserts, updates or revives a ghost, a delete ghosts a live
+        key and is a no-op otherwise.  Every op is checked first (see
+        :func:`check_ops`), then the ops are stable-sorted by key — so
+        the last write to a key still wins — their key locks taken in
+        that order before any page is pinned, and the sorted run handed
+        to :meth:`FosterBTree.apply_sorted`, which descends once per
+        leaf.  Returns, in op order, whether each op's key was live
+        when the op ran.
+        """
+        self._require_running()
+        if not txn.active:
+            # Checked before any lock is taken: a lock granted to a
+            # finished transaction would never be released.
+            raise TransactionError(
+                f"transaction {txn.txn_id} is {txn.state.value}")
+        check_ops(ops, self.config.page_size)
+        order = sorted(range(len(ops)), key=lambda j: ops[j][1])
+        run = [ops[j] for j in order]
+        for op in run:
+            self.locks.acquire(txn.txn_id, op[1])
+        existed = [False] * len(ops)
+        for j, live in zip(order, self.tree(index_id).apply_sorted(txn, run)):
+            existed[j] = live
+        return existed
+
     # Convenience single-operation transactions ------------------------
     def insert(self, tree: FosterBTree, key: bytes, value: bytes,
                txn: Transaction | None = None) -> None:
@@ -711,3 +743,24 @@ class Database:
         for page_id in list(self.pool.resident_pages()):
             if self.pool.pin_count(page_id) == 0:
                 self.pool.evict(page_id)
+
+
+def check_ops(ops: list[tuple], page_size: int) -> None:
+    """Reject a write batch before any of it is applied.
+
+    Each op must be ``("put", key, value)`` or ``("delete", key)`` with
+    ``bytes`` operands (:class:`ConfigError` otherwise), and every put
+    must fit a leaf of ``page_size`` bytes (:class:`repro.errors.
+    BTreeError`, exactly as the tree itself would raise).
+    """
+    for op in ops:
+        shape = (op[0], len(op)) if isinstance(op, (tuple, list)) and op else None
+        if shape == ("put", 3):
+            if type(op[1]) is not bytes or type(op[2]) is not bytes:
+                raise ConfigError(f"batch op operands must be bytes: {op!r}")
+            check_entry(op[1], op[2], page_size)
+        elif shape == ("delete", 2):
+            if type(op[1]) is not bytes:
+                raise ConfigError(f"batch op operands must be bytes: {op!r}")
+        else:
+            raise ConfigError(f"unknown batch op {op!r}")

@@ -109,8 +109,9 @@ class Session:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def apply(self, key: bytes, fn: Callable[[Transaction], None]) -> None:
-        """Run one write intent under the exclusive latch.
+    def apply(self, key: bytes, fn: Callable[[Transaction], object]):  # noqa: ANN201
+        """Run one write intent under the exclusive latch; returns what
+        ``fn`` returns.
 
         ``key`` is locked for the session's transaction first, so the
         decision logic inside ``fn`` (e.g. insert-vs-update against
@@ -120,7 +121,7 @@ class Session:
         txn = self._require_txn()
         with self.db.latch.exclusive():
             self.db.locks.acquire(txn.txn_id, key)
-            fn(txn)
+            return fn(txn)
 
     def insert(self, tree, key: bytes, value: bytes) -> None:  # noqa: ANN001
         self.apply(key, lambda txn: tree.insert(txn, key, value))
@@ -128,38 +129,16 @@ class Session:
     def update(self, tree, key: bytes, value: bytes) -> None:  # noqa: ANN001
         self.apply(key, lambda txn: tree.update(txn, key, value))
 
-    def upsert(self, tree, key: bytes, value: bytes) -> None:  # noqa: ANN001
-        """Insert or update, decided against live tree state under the
-        key lock (the decision cannot go stale mid-transaction)."""
-        from repro.errors import KeyNotFound
-
-        def fn(txn: Transaction) -> None:
-            try:
-                tree.lookup(key)
-            except KeyNotFound:
-                tree.insert(txn, key, value)
-            else:
-                tree.update(txn, key, value)
-
-        self.apply(key, fn)
+    def upsert(self, tree, key: bytes, value: bytes) -> bool:  # noqa: ANN001
+        """Insert or update, decided on the leaf under the key lock (the
+        decision cannot go stale mid-transaction); returns whether the
+        key existed."""
+        return self.apply(key, lambda txn: tree.upsert(txn, key, value))
 
     def delete(self, tree, key: bytes) -> bool:  # noqa: ANN001
         """Delete if present (under the key lock); returns True if a
         delete happened."""
-        from repro.errors import KeyNotFound
-
-        deleted = []
-
-        def fn(txn: Transaction) -> None:
-            try:
-                tree.lookup(key)
-            except KeyNotFound:
-                return
-            tree.delete(txn, key)
-            deleted.append(True)
-
-        self.apply(key, fn)
-        return bool(deleted)
+        return self.apply(key, lambda txn: tree.delete_if_present(txn, key))
 
     def lookup(self, tree, key: bytes):  # noqa: ANN001, ANN201
         """Read under the shared latch: concurrent with other readers,

@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.shard.config import ShardConfig
 from repro.shard.routing import RoutingTable, slot_of
-from repro.shard.rpc import recv_msg, send_msg, unmarshal_error
+from repro.shard.rpc import check_reply, recv_msg, send_msg, unmarshal_error
 from repro.shard.twopc import CoordinatorLog
 from repro.shard.worker import ShardWorker, worker_main
 
@@ -134,6 +134,8 @@ class ProcessShard:
             try:
                 send_msg(self._sock, command)
                 reply = recv_msg(self._sock)
+                if reply is not None:
+                    check_reply(reply)
             except (ConnectionError, OSError) as exc:
                 raise ShardUnavailableError(
                     self.shard_id, f"worker connection lost: {exc}") from exc

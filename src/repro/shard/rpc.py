@@ -38,7 +38,21 @@ def recv_msg(sock):  # noqa: ANN001, ANN201
     payload = _recv_exact(sock, length)
     if payload is None:
         raise ConnectionError("connection closed mid-frame")
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:  # noqa: BLE001 - any decode failure
+        raise ConnectionError(f"undecodable rpc frame: {exc!r}") from exc
+
+
+def check_reply(reply):  # noqa: ANN001, ANN201
+    """Return ``reply`` if it is ``("ok", result)`` or ``("err",
+    class_name, message)``; raise :class:`ConnectionError` otherwise."""
+    if type(reply) is tuple and (
+            (len(reply) == 2 and reply[0] == "ok")
+            or (len(reply) == 3 and reply[0] == "err"
+                and type(reply[1]) is str and type(reply[2]) is str)):
+        return reply
+    raise ConnectionError(f"malformed rpc reply: {reply!r:.200}")
 
 
 def _recv_exact(sock, n: int) -> bytes | None:  # noqa: ANN001

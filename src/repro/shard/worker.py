@@ -111,48 +111,37 @@ class ShardWorker:
             return None
 
     def _cmd_put(self, key: bytes, value: bytes) -> None:
-        self.db._require_running()
-        self._check_owner(key)
-        xid = self._cmd_txn_begin(-1)
-        try:
-            self._cmd_txn_put(xid, key, value)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
+        self._autocommit([("put", key, value)])
 
     def _cmd_delete(self, key: bytes) -> bool:
+        return self._autocommit([("delete", key)])[0]
+
+    def _cmd_batch(self, ops: list[tuple]) -> int:
+        """Apply ``[("put", k, v) | ("delete", k), ...]`` in one local
+        transaction (the bulk path the benchmarks drive)."""
+        self._autocommit(ops)
+        return len(ops)
+
+    def _autocommit(self, ops: list[tuple],
+                    check_owner: bool = True) -> list[bool]:
+        """:meth:`Database.apply_ops` in a local transaction of its own;
+        returns whether each op's key was live.  The slot-move verbs
+        pass ``check_owner=False``: they write slots in transit."""
+        # Crashed-state check first: a crashed shard must escalate to a
+        # system failure (the router's reopen signal), not refuse on
+        # ownership grounds.
         self.db._require_running()
-        self._check_owner(key)
+        if check_owner:
+            for op in ops:
+                self._check_owner(op[1])
         xid = self._cmd_txn_begin(-1)
         try:
-            existed = self._cmd_txn_delete(xid, key)
+            existed = self.db.apply_ops(self._live[xid], self.index_id, ops)
         except BaseException:
             self._abort_quietly(xid)
             raise
         self._cmd_txn_commit(xid)
         return existed
-
-    def _cmd_batch(self, ops: list[tuple]) -> int:
-        """Apply ``[("put", k, v) | ("delete", k), ...]`` in one local
-        transaction (the bulk path the benchmarks drive)."""
-        self.db._require_running()
-        for op in ops:
-            self._check_owner(op[1])
-        xid = self._cmd_txn_begin(-1)
-        try:
-            for op in ops:
-                if op[0] == "put":
-                    self._cmd_txn_put(xid, op[1], op[2])
-                elif op[0] == "delete":
-                    self._cmd_txn_delete(xid, op[1])
-                else:
-                    raise ShardError(f"unknown batch op {op[0]!r}")
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
-        return len(ops)
 
     def _cmd_scan(self, low: bytes = b"",
                   high: bytes | None = None) -> list[tuple[bytes, bytes]]:
@@ -203,27 +192,13 @@ class ShardWorker:
 
     def _cmd_txn_put(self, xid: int, key: bytes, value: bytes) -> None:
         self._check_owner(key)
-        txn = self._branch(xid)
-        self.db.locks.acquire(txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            tree.insert(txn, key, value)
-        else:
-            tree.update(txn, key, value)
+        self.db.apply_ops(self._branch(xid), self.index_id,
+                          [("put", key, value)])
 
     def _cmd_txn_delete(self, xid: int, key: bytes) -> bool:
         self._check_owner(key)
-        txn = self._branch(xid)
-        self.db.locks.acquire(txn.txn_id, key)
-        tree = self._tree
-        try:
-            tree.lookup(key)
-        except KeyNotFound:
-            return False
-        tree.delete(txn, key)
-        return True
+        return self.db.apply_ops(self._branch(xid), self.index_id,
+                                 [("delete", key)])[0]
 
     def _cmd_txn_commit(self, xid: int) -> int:
         txn = self._branch(xid)
@@ -293,20 +268,11 @@ class ShardWorker:
         if self._n_slots == 0:
             return 0
         self.db._require_running()
-        victims = [key for key, _ in self._tree.range_scan(b"", None)
+        victims = [("delete", key)
+                   for key, _ in self._tree.range_scan(b"", None)
                    if self._slot_of(key) == slot]
-        if not victims:
-            return 0
-        xid = self._cmd_txn_begin(-1)
-        txn = self._live[xid]
-        try:
-            for key in victims:
-                self.db.locks.acquire(txn.txn_id, key)
-                self._tree.delete(txn, key)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
+        if victims:
+            self._autocommit(victims, check_owner=False)
         return len(victims)
 
     def _cmd_export_slot(self, slot: int) -> tuple[int, list]:
@@ -403,34 +369,14 @@ class ShardWorker:
         apply a catch-up delta (``clear=False``) in one local
         transaction.  ``items`` is ``[(key, value | None), ...]``."""
         self.db._require_running()
-        xid = self._cmd_txn_begin(-1)
-        txn = self._live[xid]
-        tree = self._tree
-        try:
-            if clear and self._n_slots:
-                incoming = {key for key, _ in items}
-                stale = [key for key, _ in tree.range_scan(b"", None)
-                         if self._slot_of(key) == slot
-                         and key not in incoming]
-                for key in stale:
-                    self.db.locks.acquire(txn.txn_id, key)
-                    tree.delete(txn, key)
-            for key, value in items:
-                self.db.locks.acquire(txn.txn_id, key)
-                try:
-                    tree.lookup(key)
-                except KeyNotFound:
-                    if value is not None:
-                        tree.insert(txn, key, value)
-                else:
-                    if value is None:
-                        tree.delete(txn, key)
-                    else:
-                        tree.update(txn, key, value)
-        except BaseException:
-            self._abort_quietly(xid)
-            raise
-        self._cmd_txn_commit(xid)
+        ops = [("put", key, value) if value is not None else ("delete", key)
+               for key, value in items]
+        if clear and self._n_slots:
+            incoming = {key for key, _ in items}
+            ops += [("delete", key)
+                    for key, _ in self._tree.range_scan(b"", None)
+                    if self._slot_of(key) == slot and key not in incoming]
+        self._autocommit(ops, check_owner=False)
         return len(items)
 
     # ------------------------------------------------------------------

@@ -355,6 +355,234 @@ class TestRollbackThroughTree:
         assert verify_tree(tree).ok  # split structure remains, and is valid
 
 
+def fixes(db) -> int:
+    """Buffer-pool fix calls so far (every fix is a hit or a miss)."""
+    return db.stats.get("buffer_hits") + db.stats.get("buffer_misses")
+
+
+def leaf_of(tree, key):
+    """(has the key's slot, is it a ghost, does the leaf have a foster)."""
+    page, node = tree._descend(key, for_write=False)
+    try:
+        i, found = node.find(key)
+        return found, found and node.is_ghost(i), node.has_foster
+    finally:
+        tree.ctx.unfix(page.page_id)
+
+
+def leaf_room(tree, key) -> int:
+    """Bytes the leaf holding ``key`` could still give a record."""
+    page, node = tree._descend(key, for_write=False)
+    try:
+        return node.slotted.free_space + node.slotted.frag_bytes
+    finally:
+        tree.ctx.unfix(page.page_id)
+
+
+def no_pins(db) -> bool:
+    return all(db.pool.pin_count(pid) == 0 for pid in db.pool.resident_pages())
+
+
+class TestSingleDescentWrites:
+    def test_upsert_returns_whether_the_key_was_live(self, db, tree):
+        txn = db.begin()
+        assert tree.upsert(txn, b"k", b"v1") is False      # insert
+        assert tree.upsert(txn, b"k", b"v2") is True       # update
+        assert tree.delete_if_present(txn, b"k") is True   # ghost it
+        assert leaf_of(tree, b"k")[:2] == (True, True)
+        assert tree.delete_if_present(txn, b"k") is False  # no-op
+        assert tree.upsert(txn, b"k", b"v3") is False      # revive ghost
+        assert leaf_of(tree, b"k")[:2] == (True, False)
+        assert tree.delete_if_present(txn, b"never") is False
+        db.commit(txn)
+        assert tree.lookup(b"k") == b"v3"
+        assert not tree.contains(b"never")
+
+    def test_upsert_logs_what_insert_and_update_log(self, db, tree):
+        """Same records per user op as the strict calls: one for an
+        insert or an update, two for a ghost revive, one for a delete."""
+        txn = db.begin()
+        records = db.stats.get("log_records")
+        for write, extra in ((lambda: tree.upsert(txn, b"k", b"a"), 1),
+                             (lambda: tree.upsert(txn, b"k", b"b"), 1),
+                             (lambda: tree.delete_if_present(txn, b"k"), 1),
+                             (lambda: tree.delete_if_present(txn, b"k"), 0),
+                             (lambda: tree.upsert(txn, b"k", b"c"), 2)):
+            write()
+            assert db.stats.get("log_records") == records + extra
+            records += extra
+        db.commit(txn)
+
+    def test_rollback_after_upsert(self, db, tree):
+        txn = db.begin()
+        tree.insert(txn, b"old", b"original")
+        db.commit(txn)
+        txn = db.begin()
+        assert tree.upsert(txn, b"old", b"changed") is True
+        assert tree.upsert(txn, b"new", b"fresh") is False
+        db.abort(txn)
+        assert tree.lookup(b"old") == b"original"
+        assert not tree.contains(b"new")
+        assert leaf_of(tree, b"new")[:2] == (True, True)  # left a ghost
+        assert verify_tree(tree).ok
+
+    @pytest.mark.parametrize("write", [
+        lambda tree, txn: tree.upsert(txn, b"k", b"v" * 2000),
+        lambda tree, txn: tree.insert(txn, b"k", b"v" * 2000),
+        lambda tree, txn: tree.update(txn, b"k", b"v" * 2000),
+        lambda tree, txn: tree.apply_sorted(txn, [("put", b"k", b"v" * 2000)]),
+        lambda tree, txn: tree.upsert(txn, b"", b"v"),
+    ])
+    def test_bad_entry_rejected_with_no_pin_and_no_log(self, db, tree, write):
+        txn = db.begin()
+        tree.insert(txn, b"k", b"small")
+        records = db.stats.get("log_records")
+        with pytest.raises(BTreeError) as info:
+            write(tree, txn)
+        assert type(info.value) is BTreeError  # not a Duplicate/NotFound
+        assert db.stats.get("log_records") == records
+        assert no_pins(db)
+        db.commit(txn)
+        assert tree.lookup(b"k") == b"small"
+
+    def deep_tree(self, db, tree, n=2000):
+        txn = db.begin()
+        for i in range(n):
+            tree.insert(txn, b"key%06d" % i, b"v" * 20)
+        db.commit(txn)
+        # Writes to the probe key adopt any foster chain on its path.
+        txn = db.begin()
+        for _ in range(8):
+            tree.upsert(txn, b"key000700", b"w" * 20)
+        db.commit(txn)
+        assert tree.depth() == 3
+        return b"key000700"
+
+    def test_update_put_fixes_one_page_per_level(self, db, tree):
+        key = self.deep_tree(db, tree)
+        txn = db.begin()
+        before = fixes(db)
+        assert tree.upsert(txn, key, b"x" * 20) is True
+        assert fixes(db) - before == 3
+        db.commit(txn)
+
+    def test_client_put_fixes_one_page_per_level(self, db, tree):
+        import repro
+
+        key = self.deep_tree(db, tree)
+        client = repro.connect(db)
+        before = fixes(db)
+        client.put(key, b"y" * 20)
+        assert fixes(db) - before == 3
+        assert client.get(key) == b"y" * 20
+
+    def test_apply_sorted_descends_once_per_leaf(self, db, tree):
+        key = self.deep_tree(db, tree)
+        page, node = tree._descend(key, for_write=False)
+        same_leaf = node.keys()[:6]  # the probe key's leaf, same path
+        tree.ctx.unfix(page.page_id)
+        assert len(same_leaf) == 6
+        txn = db.begin()
+        before = fixes(db)
+        assert tree.apply_sorted(txn, [("put", k, b"z") for k in same_leaf]) \
+            == [True] * 6
+        assert fixes(db) - before == 3
+        db.commit(txn)
+
+    def test_apply_sorted_splits_mid_run(self, db, tree):
+        txn = db.begin()
+        for i in range(0, 400, 4):
+            tree.insert(txn, b"key%06d" % i, b"old")
+        db.commit(txn)
+        splits = db.stats.get("btree_splits")
+        ops = [("put", b"key%06d" % i, b"v" * 20) for i in range(400)]
+        ops.insert(49, ("delete", b"key000048"))   # after its own put
+        txn = db.begin()
+        existed = tree.apply_sorted(txn, ops)
+        db.commit(txn)
+        assert db.stats.get("btree_splits") > splits
+        assert existed[:5] == [True, False, False, False, True]
+        assert existed[48:50] == [True, True]  # put, then delete, of 48
+        expected = {b"key%06d" % i: b"v" * 20 for i in range(400)}
+        del expected[b"key000048"]
+        assert dict(tree.range_scan()) == expected
+        assert verify_tree(tree).ok
+        assert no_pins(db)
+
+    def test_apply_sorted_across_a_foster_chain(self, db, tree):
+        tree.adopt_every = 10**9  # keep every foster chain
+        txn = db.begin()
+        for i in range(300):
+            tree.insert(txn, b"key%06d" % i, b"v" * 20)
+        db.commit(txn)
+        assert any(leaf_of(tree, b"key%06d" % i)[2] for i in range(300))
+        ops = [("put", b"key%06d" % i, b"n%d" % i) for i in range(300)]
+        txn = db.begin()
+        before = fixes(db)
+        for _verb, key, value in ops:
+            tree.upsert(txn, key, value)
+        one_by_one = fixes(db) - before
+        before = fixes(db)
+        assert tree.apply_sorted(txn, ops) == [True] * 300
+        assert (fixes(db) - before) * 4 < one_by_one
+        db.commit(txn)
+        assert dict(tree.range_scan()) == {
+            b"key%06d" % i: b"n%d" % i for i in range(300)}
+        assert verify_tree(tree).ok
+
+    @pytest.mark.parametrize("grow", ["update", "revive", "rollback"])
+    def test_growing_a_record_on_a_full_leaf_splits_it(self, db, tree, grow):
+        """A value that outgrows a full leaf splits it first; it used to
+        log the update and then fail to apply it (PageFullError)."""
+        txn = db.begin()
+        tree.insert(txn, b"k", b"v" * (60 if grow == "rollback" else 1))
+        if grow == "revive":
+            tree.delete(txn, b"k")
+        db.commit(txn)
+        txn = db.begin()
+        if grow == "rollback":
+            tree.update(txn, b"k", b"s")
+        splits = db.stats.get("btree_splits")
+        i = 0
+        while leaf_room(tree, b"k") > 30:  # fill k's leaf, no split yet
+            tree.insert(txn, b"k%05d" % i, b"f")
+            i += 1
+        assert db.stats.get("btree_splits") == splits
+        if grow == "rollback":
+            db.abort(txn)  # restores the 60-byte value on a full leaf
+            assert tree.lookup(b"k") == b"v" * 60
+        else:
+            tree.upsert(txn, b"k", b"g" * 100)
+            db.commit(txn)
+            assert tree.lookup(b"k") == b"g" * 100
+        assert db.stats.get("btree_splits") > splits
+        assert verify_tree(tree).ok
+        assert no_pins(db)
+
+    def test_sorted_bulk_load_keeps_foster_chains_short(self, db, tree):
+        """A run that splits leaf after leaf adopts each new foster child
+        on its next descent, as per-key inserts would within a few
+        writes; otherwise one bulk load leaves a chain every later
+        read must walk."""
+        txn = db.begin()
+        tree.apply_sorted(txn, [("put", b"key%06d" % i, b"v" * 20)
+                                for i in range(1500)])
+        db.commit(txn)
+        depth = tree.depth()
+        for i in range(0, 1500, 50):
+            before = fixes(db)
+            tree.lookup(b"key%06d" % i)
+            assert fixes(db) - before <= depth + 1
+        assert verify_tree(tree).ok
+
+    def test_apply_sorted_rejects_unsorted_runs(self, db, tree):
+        txn = db.begin()
+        with pytest.raises(BTreeError):
+            tree.apply_sorted(txn, [("put", b"b", b"1"), ("put", b"a", b"2")])
+        db.commit(txn)
+        assert tree.count() == 0
+
+
 class TestPropertyBased:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

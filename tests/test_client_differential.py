@@ -82,3 +82,39 @@ def test_sharded_survives_mid_workload_crashes_with_same_state(baseline):
         assert client.router.reopens >= 1
     finally:
         client.close()
+
+
+BATCHES = [
+    # one key written three times: the last write wins
+    [("put", b"dup", b"v1"), ("delete", b"dup"), ("put", b"dup", b"v2"),
+     ("put", b"gone", b"x"), ("delete", b"gone")],
+    # unsorted, across every shard, with a delete of a missing key
+    [("put", b"k%03d" % i, b"a%d" % i) for i in (17, 3, 42, 8, 29, 1, 35)]
+    + [("delete", b"never"), ("put", b"k003", b"b3"), ("delete", b"k042")],
+    # a repeat of a deleted key brings it back
+    [("delete", b"dup"), ("put", b"k042", b"c42"), ("put", b"dup", b"v3")],
+]
+
+
+def batch_state(config):
+    client = repro.connect(config)
+    try:
+        states = []
+        for ops in BATCHES:
+            assert client.apply_batch(ops) == len(ops)
+            states.append(client.scan())
+        return states
+    finally:
+        client.close()
+
+
+@pytest.mark.parametrize("config", [
+    repro.ShardConfig(n_shards=1),
+    repro.ShardConfig(n_shards=4),
+    repro.ShardConfig(n_shards=2, transport="process"),
+], ids=["inproc-1", "inproc-4", "process-2"])
+def test_batches_with_repeats_and_disorder_match_single_node(config):
+    expected = batch_state(None)
+    assert expected[0] == [(b"dup", b"v2")]
+    assert dict(expected[-1])[b"dup"] == b"v3"
+    assert batch_state(config) == expected

@@ -10,6 +10,7 @@ from repro.errors import (
     ReproError,
     ShardError,
     ShardUnavailableError,
+    TransactionError,
     TwoPhaseCommitError,
 )
 
@@ -115,6 +116,37 @@ class TestClientSemantics:
         assert client.get(b"b00") == b"v00"
         client.apply_batch([("delete", b"b00")])
         assert client.get(b"b00") is None
+
+    @pytest.mark.parametrize("bad", [
+        ("upsert", b"k", b"v"), ("put", b"k"), ("delete", b"k", b"v"),
+        ("put", "k", b"v"), ("put", b"k", None), b"put", ("put", b"", b"v"),
+        ("put", b"k", b"v" * 4096)])
+    def test_malformed_batch_op_applies_nothing(self, bad):
+        """One bad op anywhere in a batch rejects the whole batch before
+        any of it is dispatched — on the sharded backend too, where the
+        good ops used to commit on the shards dispatched first."""
+        for config in (None, repro.ShardConfig(n_shards=4)):
+            client = repro.connect(config)
+            try:
+                ops = [("put", b"b%02d" % i, b"v") for i in range(40)]
+                with pytest.raises(ReproError) as info:
+                    client.apply_batch(ops + [bad])
+                assert not isinstance(info.value, ShardError)
+                assert client.scan() == []
+            finally:
+                client.close()
+
+    def test_finished_txn_handle_rejects_writes_without_locking(self, client):
+        with client.txn() as t:
+            t.put(b"k", b"v1")
+        for write in (lambda: t.put(b"k", b"v2"), lambda: t.delete(b"k")):
+            with pytest.raises(TransactionError):
+                write()
+        # The key is not left locked by the finished transaction.
+        client.put(b"k", b"v3")
+        with client.txn() as t2:
+            t2.put(b"k", b"v4")
+        assert client.get(b"k") == b"v4"
 
     def test_operations_after_close_raise_typed_error(self, client):
         client.close()

@@ -2,6 +2,7 @@
 
 import pickle
 import socket
+import threading
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.shard.config import ShardConfig
-from repro.shard.router import ShardRouter, shard_of
+from repro.shard.router import ProcessShard, ShardRouter, shard_of
 from repro.shard.rpc import (
     MAX_MESSAGE_BYTES,
     marshal_error,
@@ -83,6 +84,62 @@ class TestRpcFraming:
             recv_msg(b)
         a.close()
         b.close()
+
+    def test_corrupt_frame_is_a_connection_error(self):
+        a, b = socket.socketpair()
+        garbage = b"\x80\x05not a pickle"
+        a.sendall(len(garbage).to_bytes(4, "little") + garbage)
+        with pytest.raises(ConnectionError):
+            recv_msg(b)
+        a.close()
+        b.close()
+
+    @staticmethod
+    def shard_over(sock) -> ProcessShard:
+        """A ProcessShard whose worker is the test, on the other end of
+        a socketpair (no process is forked)."""
+        shard = ProcessShard.__new__(ProcessShard)
+        shard.shard_id = 5
+        shard._sock = sock
+        shard._lock = threading.Lock()
+        return shard
+
+    @pytest.mark.parametrize("reply", [
+        ("ok",), ("err", "KeyNotFound"), ("err", 1, 2), ["ok", 1],
+        "ok", 42, ("maybe", 1)])
+    def test_misshaped_reply_is_shard_unavailable(self, reply):
+        a, b = socket.socketpair()
+        send_msg(b, reply)  # the reply is waiting before the request
+        try:
+            with pytest.raises(ShardUnavailableError) as info:
+                self.shard_over(a).call(("ping",))
+            assert info.value.shard == 5
+            assert recv_msg(b) == ("ping",)
+        finally:
+            a.close()
+            b.close()
+
+    def test_corrupt_reply_is_shard_unavailable(self):
+        a, b = socket.socketpair()
+        b.sendall(b"\x03\x00\x00\x00\x80\x05\x95")  # truncated pickle
+        try:
+            with pytest.raises(ShardUnavailableError):
+                self.shard_over(a).call(("ping",))
+        finally:
+            a.close()
+            b.close()
+
+    def test_well_formed_replies_still_decode(self):
+        a, b = socket.socketpair()
+        try:
+            send_msg(b, ("ok", [b"x"]))
+            assert self.shard_over(a).call(("ping",)) == [b"x"]
+            send_msg(b, ("err", "SystemFailure", "crashed"))
+            with pytest.raises(SystemFailure):
+                self.shard_over(a).call(("ping",))
+        finally:
+            a.close()
+            b.close()
 
     def test_error_marshalling_taxonomy(self):
         name, message = marshal_error(SystemFailure("crashed"))
