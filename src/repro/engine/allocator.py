@@ -41,15 +41,11 @@ class PageAllocator:
         if db.pool.resident(page_id):
             # A freed page may still have a stale (clean) frame.
             db.pool.drop_frame(page_id)
-        if db.restart_registry is not None:
-            # Reformatting supersedes any pending restart redo: "it has
-            # the same effect as a successful write" (Section 5.1.2).
-            db.restart_registry.discard_page(page_id)
-        if db.restore_registry is not None:
-            # Likewise for a pending restore: the fresh format replaces
-            # whatever the failed device held, so the backup image need
-            # never be fetched.
-            db.restore_registry.discard_page(page_id)
+        if db._deferred_recovery is not None:
+            # Reformatting supersedes any pending restart redo or
+            # restore: "it has the same effect as a successful write"
+            # (Section 5.1.2).
+            db._deferred_recovery.discard_page(page_id)
         db.pool.fix_new(page)
         format_lsn = db.tm.log_format(txn, page, index_id,
                                       OpInitSlotted(page_type))

@@ -53,18 +53,14 @@ class Checkpointer:
 
     def _checkpoint_locked(self) -> int:
         db = self.db
-        if db.restart_registry is not None:
-            # A checkpoint completes any on-demand restart first: its
-            # dirty-page table must not silently drop pages whose redo
-            # is still pending, and a checkpoint with pending losers
-            # would strand their rollback behind the new master record.
-            db.restart_registry.drain_all()
-        if db.restore_registry is not None:
-            # Likewise for an on-demand restore: a checkpoint declares
-            # the device consistent up to the master record, which a
-            # half-restored replacement device is not, and the new
-            # master must not strand a pending loser's rollback.
-            db.restore_registry.drain_all()
+        if db._deferred_recovery is not None:
+            # A checkpoint completes any on-demand restart or restore
+            # first: its dirty-page table must not silently drop pages
+            # whose redo is still pending, it declares the device
+            # consistent up to the master record (which a half-restored
+            # replacement device is not), and the new master must not
+            # strand a pending loser's rollback.
+            db._deferred_recovery.drain_all()
         db.log.append(LogRecord(LogRecordKind.CHECKPOINT_BEGIN))
         # Snapshot first: only pages dirty *now* are forced out —
         # later PRI updates may add a few random reads to a subsequent
@@ -363,9 +359,10 @@ class Checkpointer:
           mandatory log retention);
         * restart needs the log from the master checkpoint;
         * rollback needs every active transaction's first record;
-        * an unfinished on-demand restart needs every pending page's
-          first redo record and every pending loser's first record
-          (the completion watermark, see ``RestartRegistry``);
+        * an unfinished on-demand restart or restore needs every
+          pending page's first redo record (a restore: the backup's
+          record) and every pending loser's first record (the
+          completion watermark, see ``repro.engine.restart_registry``);
         * media recovery restores from the newest retained full backup
           and scans the tail from its BACKUP_FULL record, so that
           record must stay reachable — truncating past it would make
@@ -390,19 +387,10 @@ class Checkpointer:
             # next analysis — pin back to its first record.
             if entry.first_lsn:
                 bound = min(bound, entry.first_lsn)
-        if db.restart_registry is not None:
-            # Instant restart's completion watermark: pending pages and
-            # losers pin the log until they resolve (the truncation
-            # gate of the on-demand restart state machine).
-            pending = db.restart_registry.retention_bound()
-            if pending is not None:
-                bound = min(bound, pending)
-        if db.restore_registry is not None:
-            # Instant restore's completion watermark: every pending
-            # page replays its chain from the backup's position, so the
-            # whole tail since the backup is pinned until the drain
-            # completes.
-            pending = db.restore_registry.retention_bound()
+        if db._deferred_recovery is not None:
+            # The deferred-recovery completion watermark: pending pages
+            # and losers pin the log until they resolve.
+            pending = db._deferred_recovery.retention_bound()
             if pending is not None:
                 bound = min(bound, pending)
         if db.config.spf_enabled:

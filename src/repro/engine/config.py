@@ -60,14 +60,13 @@ class EngineConfig:
     #: ablation — without it, lost writes go unnoticed
     pri_lsn_check: bool = True
 
-    #: restart strategy after a system failure:
-    #: ``"eager"`` runs the classic three-pass ARIES restart to
-    #: completion before the database opens; ``"on_demand"`` runs log
-    #: analysis only, registers the surviving dirty-page table and the
+    #: restart strategy after a system failure: both modes run log
+    #: analysis and register the surviving dirty-page table and the
     #: loser-transaction set with a :class:`repro.engine.
-    #: restart_registry.RestartRegistry`, and opens immediately — each
-    #: pending page is rolled forward from its per-page chain on first
-    #: fix (like an incipient single-page failure) and losers are
+    #: restart_registry.RestartRegistry`.  ``"eager"`` drains all of
+    #: it before the database opens; ``"on_demand"`` opens immediately
+    #: — each pending page is rolled forward from its per-page chain on
+    #: first fix (like an incipient single-page failure) and losers are
     #: undone on lock conflict or by a background drain
     restart_mode: str = "eager"
 

@@ -133,15 +133,15 @@ class Database:
         self._build_recovery_stack()
         self.pool = self._build_pool(self.device)
 
-        #: pending-work registry of an on-demand restart (None = no
-        #: restart in progress); see repro.engine.restart_registry
+        #: pending-work registry of a restart (None = no restart work
+        #: pending); see repro.engine.restart_registry
         self.restart_registry = None
-        #: completion watermark of the most recent on-demand restart
+        #: completion watermark of the most recent restart
         self.last_restart_completion_lsn: int | None = None
-        #: pending-work registry of an on-demand media restore (None =
-        #: no restore in progress); see repro.engine.restore_registry
+        #: pending-work registry of a media restore (None = no restore
+        #: work pending); see repro.engine.restore_registry
         self.restore_registry = None
-        #: completion watermark of the most recent on-demand restore
+        #: completion watermark of the most recent restore
         self.last_restore_completion_lsn: int | None = None
         #: backup a not-yet-complete restore depends on (survives a
         #: crash so the interrupted restore can be re-run)
@@ -540,19 +540,18 @@ class Database:
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Simulate a system failure: volatile state vanishes."""
-        if self.restart_registry is not None:
-            # Pending instant-restart work dies with the rest of the
-            # volatile state; the next analysis rediscovers it from the
-            # durable log.
-            self.restart_registry.abandon()
-        if self.restore_registry is not None:
+        if (self.restore_registry is not None
+                and not self.restore_registry.complete):
             # A crash interrupts an on-demand restore: the replacement
             # device is only partially rebuilt, so the media failure is
             # effectively back — recover_media() must be re-run (from
             # the same backup; already-restored pages replay as no-ops).
-            if not self.restore_registry.complete:
-                self._media_failed = True
-            self.restore_registry.abandon()
+            self._media_failed = True
+        if self._deferred_recovery is not None:
+            # Pending deferred work dies with the rest of the volatile
+            # state; the next recovery's analysis rediscovers it from
+            # the durable log.
+            self._deferred_recovery.abandon()
         self.log.crash()
         self.pool.drop_all()
         self.catalog.invalidate_volatile()
@@ -590,6 +589,15 @@ class Database:
         for hook in self.recovery_hooks:
             hook(self, "restart", report)
         return report
+
+    @property
+    def _deferred_recovery(self):  # noqa: ANN202 - a registry or None
+        """The live deferred-recovery registry, if any.  Media recovery
+        abandons a pending restart and restart refuses a half-restored
+        device, so at most one of the two registries is live."""
+        if self.restart_registry is not None:
+            return self.restart_registry
+        return self.restore_registry
 
     @property
     def restart_pending(self) -> bool:

@@ -7,10 +7,9 @@ updates for the failed media only.  Due to the effort of restoring a
 backup copy, active transactions touching the failed media are
 aborted."
 
-Both restore modes run the same procedure over the same per-page
-primitives (shared with restart recovery via
-:func:`repro.engine.system_recovery.redo_page_records` and
-:func:`~repro.engine.system_recovery.undo_loser`):
+Both restore modes run the same procedure, on the deferred-recovery
+state machine restart recovery also runs on
+(:mod:`repro.engine.restart_registry`):
 
 1. **analysis** — one indexed sequential scan of the log tail since
    the backup collects each page's record list and the loser set;
@@ -137,10 +136,8 @@ def run_media_recovery(db, backup_id: int,  # noqa: ANN001
     # Pending instant-restart or interrupted-restore work is subsumed:
     # chain replay from the backup covers every deferred redo, and the
     # analysis scan below rediscovers every deferred loser.
-    if db.restart_registry is not None:
-        db.restart_registry.abandon()
-    if db.restore_registry is not None:
-        db.restore_registry.abandon()
+    if db._deferred_recovery is not None:
+        db._deferred_recovery.abandon()
 
     # ------------------------------------------------------------------
     # Analysis: the log tail since the backup, one indexed scan.

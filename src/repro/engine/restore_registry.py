@@ -1,87 +1,66 @@
-"""The pending-work registry behind instant (on-demand) media restore.
+"""The restore half of deferred recovery: instant media restore.
 
 Traditional media recovery (Section 5.1.3) blocks the database while
 an entire replacement device is rebuilt from backup.  The paper's
 per-page primitives make that unnecessary: every page of the failed
 device is independently restorable — backup image plus per-page chain
-replay — so restore can be an *online* event, exactly like on-demand
-restart (:mod:`repro.engine.restart_registry`, which this module
-mirrors):
+replay — so restore is an *online* event run by the same deferred-
+recovery state machine as instant restart (pending pages, pending
+losers, budgeted drain, completion watermark; see
+:mod:`repro.engine.restart_registry`).  Only the per-page step
+differs:
 
-* **pending pages** — every page the failed device held: the pages in
-  the full backup plus pages formatted since it was taken.  A pending
-  page is restored on its first fix through the buffer pool's fetcher
-  hook: its backup image is materialized (page copy, full backup,
-  in-log image, or formatting record — the four sources of
-  ``core/backup.py``), the missing updates are replayed from its
-  per-page chain through the segmented WAL's indexed lookup, and the
-  result is written to the replacement device.  Cold pages are
-  restored by a budgeted background :meth:`drain`;
-* **pending losers** — transactions the media failure aborted.  Their
-  key locks are re-acquired from the per-transaction chains, so
-  conflicting user transactions trigger rollback of exactly the loser
-  in their way; the drain resolves the rest (newest-first, the same
-  order as eager restore).
+* **pending pages** are every page the failed device held: the pages
+  in the full backup plus pages formatted since it was taken.  A
+  pending page is restored by materializing its backup image (page
+  copy, full backup, in-log image, or formatting record — the four
+  sources of ``core/backup.py``), replaying the missing updates, and
+  writing the result to the replacement device;
+* **pending losers** are the transactions the media failure aborted.
 
 Eager restore is the degenerate case: prefetch the backup with one
-sequential read, then drain everything before the database reopens —
-both modes run the same per-page primitive, which is what makes them
-byte-identical (the differential oracle of ``tests/test_media_matrix``).
+sequential read, then drain everything before the database reopens.
 
-A **completion watermark** gates checkpointing, log truncation, and
+The completion watermark gates checkpointing, log truncation, and
 backup retirement: while work is pending, :meth:`retention_bound` pins
 the log at the backup's position (chain replay needs the tail from
 there) and :meth:`repro.engine.checkpointer.Checkpointer.
-retire_full_backups` refuses to retire the backup being restored from;
-once the last item resolves the registry detaches its hooks and
-records the watermark LSN.
+retire_full_backups` refuses to retire the backup being restored from.
 """
 
 from __future__ import annotations
 
-from repro.engine.restart_registry import PendingLoser
-from repro.engine.system_recovery import redo_page_records, undo_loser
+from repro.engine.restart_registry import _DeferredRecovery
+from repro.engine.system_recovery import redo_page_records
 from repro.errors import LogError, RecoveryError
 from repro.page.page import Page
-from repro.sync import Mutex
 from repro.wal.lsn import NULL_LSN
 from repro.wal.records import BackupRef, LogRecord, LogRecordKind
 
 
-class RestoreRegistry:
+class RestoreRegistry(_DeferredRecovery):
     """Tracks and resolves the per-page restore and per-loser undo
-    work an on-demand media recovery deferred past the moment the
-    database reopened."""
+    work a media recovery deferred past the moment the database
+    reopened (all of it, in eager mode)."""
+
+    DB_ATTR = "restore_registry"
+    PENDING_STATS = ("restore_pending_pages", "restore_pending_losers")
+    DRAIN_STATS = ("restore_drain_pages", "restore_drain_losers")
+    CONFLICT_STAT = "restore_undo_on_conflict"
+    UNDO_STATS = ("restore_undo_txns",)
+    SUPERSEDED_STAT = "restore_superseded"
 
     def __init__(self, db, backup_id: int, backup_lsn: int,  # noqa: ANN001
                  backup_pages: set[int],
                  page_records: dict[int, list[LogRecord]],
                  att: dict[int, tuple[int, bool]]) -> None:
-        self.db = db
+        super().__init__(db, {page_id: page_records.get(page_id, [])
+                              for page_id in set(backup_pages)
+                              | set(page_records)}, att)
         self.backup_id = backup_id
         self.backup_lsn = backup_lsn
         #: pages with an image in the full backup
         self.backup_pages = set(backup_pages)
-        #: every page awaiting restore -> its analysis record list (the
-        #: log-order fallback when the per-page chain does not connect)
-        self.pending_pages: dict[int, list[LogRecord]] = {
-            page_id: page_records.get(page_id, [])
-            for page_id in self.backup_pages | set(page_records)}
-        self.pending_losers: dict[int, PendingLoser] = {}
-        for txn_id, (last_lsn, is_system) in att.items():
-            keys, first_lsn = db.tm.chain_summary(last_lsn)
-            self.pending_losers[txn_id] = PendingLoser(
-                txn_id, last_lsn, is_system,
-                first_lsn=first_lsn, keys=keys)
-        self.completed_at_lsn: int | None = None
-        #: guards the pending maps and the image cache: restore-on-fix
-        #: runs under whatever latch the fixing thread holds, drains
-        #: under the exclusive engine latch — either way the per-page
-        #: restore claim is atomic, so a page restores exactly once
-        self._mutex = Mutex()
-        #: losers whose rollback is running right now (claimed under
-        #: the mutex, rolled back outside it)
-        self._undoing: set[int] = set()
         #: eager prefetch: backup images pulled with one sequential read
         self._image_cache: dict[int, bytes] = {}
         self._image_lsns: dict[int, int] = {}
@@ -89,28 +68,9 @@ class RestoreRegistry:
         self.pages_restored = 0
         self.bytes_restored = 0
         self.records_replayed = 0
-        self.undone_losers: list[int] = []
 
-    # ------------------------------------------------------------------
-    # Installation / detachment
-    # ------------------------------------------------------------------
     def install(self) -> None:
-        """Hook the registry into the buffer pool and lock manager."""
         db = self.db
-        db.restore_registry = self
-        self._orig_fetcher = db.pool.fetcher
-        db.pool.fetcher = self._fetch
-        db.locks.conflict_resolver = self.resolve_loser_conflict
-        # The media failure aborted the losers; whatever lock state
-        # they left behind is replaced by locks re-acquired from their
-        # per-transaction chains, so new transactions conflict with
-        # (and then resolve) exactly the losers whose keys they touch.
-        for loser in self.pending_losers.values():
-            db.tm.active.pop(loser.txn_id, None)
-            db.locks.release_all(loser.txn_id)
-        for loser in self.pending_losers.values():
-            for key in loser.keys:
-                db.locks.acquire(loser.txn_id, key)
         if db.config.spf_enabled and self.pending_pages:
             # The full backup covers the whole restored range; pages
             # formatted after the backup fall back to their formatting
@@ -127,81 +87,27 @@ class RestoreRegistry:
                     db.pri.set_backup(page_id,
                                       BackupRef.format_record(first.lsn),
                                       first.lsn, db.clock.now)
-        db.stats.bump("restore_pending_pages", len(self.pending_pages))
-        db.stats.bump("restore_pending_losers", len(self.pending_losers))
-        self._maybe_finish()
-
-    def abandon(self) -> None:
-        """Drop all pending work without resolving it (a new failure:
-        the next recovery's analysis rediscovers everything from the
-        durable log and the retained backup)."""
-        self.pending_pages.clear()
-        self.pending_losers.clear()
-        self._image_cache.clear()
-        self._detach()
+        super().install()
 
     def _detach(self) -> None:
-        db = self.db
-        if db.pool.fetcher == self._fetch:
-            db.pool.fetcher = self._orig_fetcher
-        if db.locks.conflict_resolver == self.resolve_loser_conflict:
-            db.locks.conflict_resolver = None
-        if db.restore_registry is self:
-            db.restore_registry = None
-
-    def _fetch(self, page_id: int) -> Page:
-        """Fetcher wrapper: the first fix of a pending page *is* its
-        restore; everything else takes the normal Figure-8 path."""
-        if page_id in self.pending_pages:
-            return self.restore_page(page_id)
-        return self._orig_fetcher(page_id)
-
-    def _maybe_finish(self) -> None:
-        if self.pending_pages or self.pending_losers:
-            return
-        if self.completed_at_lsn is None:
-            # The completion watermark: the replacement device is fully
-            # caught up and every loser is undone; checkpointing, log
-            # truncation, and backup retirement may proceed normally.
-            self.completed_at_lsn = self.db.log.end_lsn
-            self.db.last_restore_completion_lsn = self.completed_at_lsn
-            self.db._pending_restore_backup_id = None
-            self.db.stats.bump("instant_restore_completions")
-            self.db.log.force()
         self._image_cache.clear()
-        self._detach()
+        super()._detach()
+
+    def _on_complete(self) -> None:
+        # The replacement device is fully caught up and every loser is
+        # undone; checkpointing and backup retirement may proceed.
+        db = self.db
+        db.last_restore_completion_lsn = self.completed_at_lsn
+        db._pending_restore_backup_id = None
+        db.stats.bump("instant_restore_completions")
+        db.log.force()
+
+    def _page_retention_bound(self) -> int:
+        # Chain replay walks each pending page back to the backup.
+        return self.backup_lsn
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_page_count(self) -> int:
-        return len(self.pending_pages)
-
-    @property
-    def pending_loser_count(self) -> int:
-        return len(self.pending_losers)
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending_pages and not self.pending_losers
-
-    def retention_bound(self) -> int | None:
-        """Oldest LSN pending restore work may still need, or ``None``
-        when nothing is pending (the truncation gate).  Chain replay
-        walks each pending page back to the backup, so pending pages
-        pin the log at the backup's own record."""
-        bound: int | None = None
-        if self.pending_pages:
-            bound = self.backup_lsn
-        for loser in self.pending_losers.values():
-            lsn = (loser.first_lsn if loser.first_lsn != NULL_LSN
-                   else loser.last_lsn)
-            bound = lsn if bound is None else min(bound, lsn)
-        return bound
-
-    # ------------------------------------------------------------------
-    # Per-page restore (the shared primitive of both modes)
+    # Per-page restore
     # ------------------------------------------------------------------
     def prefetch_images(self) -> None:
         """Pull the whole backup with one sequential read (eager mode:
@@ -214,7 +120,8 @@ class RestoreRegistry:
             self.backup_id)
         self._image_lsns = db.backup_store.full_backup_lsns(self.backup_id)
 
-    def _backup_image(self, page_id: int) -> tuple[Page, int]:
+    def _backup_image(self, page_id: int,
+                      records: list[LogRecord]) -> tuple[Page, int]:
         """Materialize the best backup image for one pending page."""
         db = self.db
         page_size = db.config.page_size
@@ -225,7 +132,6 @@ class RestoreRegistry:
             image, lsn = db.backup_store.fetch_from_full_backup(
                 self.backup_id, page_id)
             return Page(page_size, image), lsn
-        records = self.pending_pages.get(page_id) or []
         if records and records[0].kind == LogRecordKind.FORMAT_PAGE:
             # Formatted after the backup: the formatting record is the
             # backup (source four); replay starts from a fresh page.
@@ -234,33 +140,35 @@ class RestoreRegistry:
             f"page {page_id} is not in full backup {self.backup_id} and "
             f"has no formatting record since LSN {self.backup_lsn}")
 
-    def restore_page(self, page_id: int, sequential: bool = False,
-                     use_chain: bool = True) -> Page:
+    def _fetch_pending(self, page_id: int) -> Page:
+        """First fix of a pending page: restore it, replaying the
+        missing updates from its chain via the segmented WAL's indexed
+        lookup — the Figure-10 mechanism."""
+        with self._mutex:
+            records = self.pending_pages.get(page_id)
+            if records is not None:
+                return self._restore_locked(page_id, records,
+                                            sequential=False, use_chain=True)
+        return self._orig_fetcher(page_id)  # restored by a racing drain
+
+    def _drain_page_locked(self, page_id: int, records: list[LogRecord],
+                           sequential: bool) -> None:
+        # A ranked drain deliberately breaks the sequential sweep, so
+        # its backup reads are priced as random.
+        self._restore_locked(page_id, records, sequential, use_chain=False)
+
+    def _restore_locked(self, page_id: int, records: list[LogRecord],
+                        sequential: bool, use_chain: bool) -> Page:
         """Restore one page of the failed device: backup image plus
         per-page replay, written to the replacement device.
 
-        On the fix path (``use_chain``) the missing updates come from
-        the page's chain via the segmented WAL's indexed lookup — the
-        Figure-10 mechanism — falling back to the analysis pass's
-        log-order record list if the chain is broken.  The drain
-        passes ``use_chain=False``: the analysis scan already paid for
-        (and holds) every record list, so a bulk restore replays from
-        memory instead of re-reading chains as random log I/O.  Chain
-        order and log order coincide per page, and both paths go
-        through :func:`repro.engine.system_recovery.redo_page_records`
-        — the primitive eager restart redo uses — so the result is
-        byte-identical either way.
+        A broken or disconnected chain falls back to the analysis
+        record list.  Chain order and log order coincide per page, and
+        both go through :func:`repro.engine.system_recovery.
+        redo_page_records`, so the result is byte-identical either way.
         """
-        with self._mutex:
-            return self._restore_page_locked(page_id, sequential, use_chain)
-
-    def _restore_page_locked(self, page_id: int, sequential: bool,
-                             use_chain: bool) -> Page:
         db = self.db
-        records = self.pending_pages.get(page_id)
-        if records is None:
-            raise RecoveryError(f"page {page_id} is not pending restore")
-        page, base_lsn = self._backup_image(page_id)
+        page, base_lsn = self._backup_image(page_id, records)
         applied: int | None = None
         if use_chain:
             try:
@@ -269,10 +177,10 @@ class RestoreRegistry:
                                                       page_id=page_id)
                 applied = redo_page_records(page, chain)
             except (RecoveryError, LogError):
-                # Chain broken or disconnected: restart from a fresh
-                # backup image and replay the analysis list instead.
+                # Restart from a fresh backup image and replay the
+                # analysis list instead.
                 db.stats.bump("restore_chain_fallbacks")
-                page, base_lsn = self._backup_image(page_id)
+                page, base_lsn = self._backup_image(page_id, records)
         if applied is None:
             applied = redo_page_records(
                 page, [r for r in records if r.lsn > base_lsn])
@@ -280,110 +188,11 @@ class RestoreRegistry:
         db.device.write(page_id, page.data, sequential=sequential)
         if db.config.spf_enabled:
             db.pri.record_write(page_id, page.page_lsn)
-        del self.pending_pages[page_id]
         self._image_cache.pop(page_id, None)
         self.pages_restored += 1
         self.bytes_restored += len(page.data)
         self.records_replayed += applied
         db.stats.bump("restore_pages")
         db.stats.bump("restore_records", applied)
-        self._maybe_finish()
+        self._resolve_page_locked(page_id)
         return page
-
-    def discard_page(self, page_id: int) -> None:
-        """A pending page was reformatted by fresh allocation before
-        its first read: the formatting supersedes its restore."""
-        with self._mutex:
-            if self.pending_pages.pop(page_id, None) is not None:
-                self._image_cache.pop(page_id, None)
-                self.db.stats.bump("restore_superseded")
-                self._maybe_finish()
-
-    # ------------------------------------------------------------------
-    # Lazy undo (the lock manager's conflict_resolver hook)
-    # ------------------------------------------------------------------
-    def resolve_loser_conflict(self, holder_txn_id: int) -> bool:
-        """A lock request hit ``holder_txn_id``: if it is a pending
-        loser, roll it back now and let the requester retry."""
-        if holder_txn_id not in self.pending_losers:
-            return False
-        self.db.stats.bump("restore_undo_on_conflict")
-        return self.undo_pending_loser(holder_txn_id)
-
-    def undo_pending_loser(self, txn_id: int) -> bool:
-        db = self.db
-        # Claim under the mutex, roll back outside it: rollback fixes
-        # pages through the pool (so any page the loser touched is
-        # restored on the way, via the fetcher hook — which itself
-        # takes this mutex under a frame latch); holding the mutex
-        # across the rollback would invert that lock order.  The loser
-        # stays in pending_losers until its rollback completes.
-        with self._mutex:
-            loser = self.pending_losers.get(txn_id)
-            if loser is None or txn_id in self._undoing:
-                return False
-            self._undoing.add(txn_id)
-        try:
-            undo_loser(db, txn_id, loser.last_lsn, loser.is_system)
-        except BaseException:
-            with self._mutex:
-                self._undoing.discard(txn_id)
-            raise
-        with self._mutex:
-            self._undoing.discard(txn_id)
-            del self.pending_losers[txn_id]
-            db.locks.release_all(txn_id)
-            db.stats.bump("restore_undo_txns")
-            self.undone_losers.append(txn_id)
-            self._maybe_finish()
-        return True
-
-    # ------------------------------------------------------------------
-    # Background drain
-    # ------------------------------------------------------------------
-    def drain(self, page_budget: int | None = None,
-              loser_budget: int | None = None) -> tuple[int, int]:
-        """Resolve pending work up to the budgets; returns
-        ``(pages_restored, losers_resolved)``.
-
-        Unbudgeted drains (``drain_all``, eager restore) keep the
-        eager pass's order — pages by ascending id, a sequential
-        sweep of the replacement device, then losers newest-first.
-        *Budgeted* drains with a prefetcher attached restore pages in
-        predicted-next-access order instead, warming the working set
-        first; those restores are priced as random (not sequential)
-        backup reads, since the ranking deliberately breaks the sweep.
-        """
-        db = self.db
-        pages_done = 0
-        with self._mutex:
-            pending_now = sorted(self.pending_pages)
-        ranked = page_budget is not None and db.prefetcher is not None
-        if ranked:
-            pending_now = db.prefetcher.rank(pending_now)
-        for page_id in pending_now:
-            if page_budget is not None and pages_done >= page_budget:
-                break
-            with self._mutex:
-                if page_id not in self.pending_pages:
-                    continue  # restored by a racing fix
-                self._restore_page_locked(page_id, sequential=not ranked,
-                                          use_chain=False)
-            pages_done += 1
-        losers_done = 0
-        with self._mutex:
-            order = sorted(self.pending_losers.values(),
-                           key=lambda loser: -loser.last_lsn)
-        for loser in order:
-            if loser_budget is not None and losers_done >= loser_budget:
-                break
-            if self.undo_pending_loser(loser.txn_id):
-                losers_done += 1
-        db.stats.bump("restore_drain_pages", pages_done)
-        db.stats.bump("restore_drain_losers", losers_done)
-        return pages_done, losers_done
-
-    def drain_all(self) -> tuple[int, int]:
-        """Resolve everything (used as the checkpoint gate and as the
-        whole of eager restore)."""
-        return self.drain()

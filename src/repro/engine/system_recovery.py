@@ -1,6 +1,8 @@
-"""ARIES-style restart recovery with the paper's PRI integration.
+"""Restart recovery with the paper's PRI integration (Section 5.1.2).
 
-Three passes over the log (Section 5.1.2), plus the Figure-12 actions:
+Restart is log analysis followed by the deferred-recovery state
+machine of :mod:`repro.engine.restart_registry`, plus the Figure-12
+actions:
 
 * **Log analysis** (reads only the log): rebuilds the dirty page table
   ("recovery requirements") and the active transaction table from the
@@ -9,15 +11,20 @@ Three passes over the log (Section 5.1.2), plus the Figure-12 actions:
   pages whose writes completed before the crash need no redo read at
   all (the Figure-4 optimization).  Backup and format records replay
   into the in-memory page recovery index.
-* **Redo** (physical): reads only the remaining required pages, applies
-  missing updates decided by the PageLSN, and verifies the per-page
-  chain ordering as it goes (the defensive check of Section 5.1.4).
-  Where a page turns out to be *already up to date* — it was written
-  but its PRI-update record was lost in the crash — restart generates
-  the missing PRI-update log record right away (Figure 12, bottom
-  row).
-* **Undo** (logical): rolls back loser transactions through the
-  indexes, writing CLRs.
+* **Redo** (physical, per page): reads only the remaining required
+  pages, applies missing updates decided by the PageLSN, and verifies
+  the per-page chain ordering as it goes (the defensive check of
+  Section 5.1.4).  Where a page turns out to be *already up to date* —
+  it was written but its PRI-update record was lost in the crash —
+  restart generates the missing PRI-update log record right away
+  (Figure 12, bottom row).
+* **Undo** (logical, per loser): rolls back loser transactions through
+  the indexes, writing CLRs.
+
+Eager mode runs redo and undo to completion before the database opens
+(a full drain of the registry); on-demand mode opens right after
+analysis and leaves them to first fixes, lock conflicts, and
+background drains.
 
 Before any of that, the persisted page recovery index is loaded from
 its reserved page region; a damaged PRI page is itself repaired by
@@ -32,11 +39,9 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.core.recovery_index import PageRecoveryIndex, PartitionedRecoveryIndex
-from repro.errors import PageFailureKind, RecoveryError, SinglePageFailure
+from repro.errors import RecoveryError
 from repro.page.page import Page
 from repro.sim.clock import StopWatch
-from repro.storage.device import DeviceReadError
-from repro.txn.transaction import Transaction
 from repro.wal.lsn import LOG_START, NULL_LSN
 from repro.wal.records import BackupRef, LogRecord, LogRecordKind, decompress_image
 
@@ -77,10 +82,11 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
     """Run restart recovery against a crashed :class:`Database`.
 
     ``mode`` overrides ``config.restart_mode`` for this one restart.
-    Eager mode runs all three ARIES passes; on-demand mode stops after
-    analysis, registers the surviving dirty-page table and loser set
-    with a :class:`repro.engine.restart_registry.RestartRegistry`, and
-    returns with the database already open for traffic.
+    Both modes run analysis and register the surviving dirty-page
+    table and loser set with a :class:`repro.engine.restart_registry.
+    RestartRegistry`.  On-demand mode returns right away with the
+    database open for traffic; eager mode first drains everything —
+    redo of every pending page, then undo of every loser.
     """
     from repro.engine.restart_registry import RestartRegistry
 
@@ -116,25 +122,26 @@ def run_restart(db, mode: str | None = None) -> RestartReport:  # noqa: ANN001
     att, indoubt = split_indoubt(db, att)
     report.indoubt_gtids = register_indoubt(db, indoubt)
 
+    registry = RestartRegistry(db, page_records, att)
+    registry.install()
     if report.mode == "on_demand":
-        registry = RestartRegistry(db, dpt, page_records, att)
-        registry.install()
         report.pending_redo_pages = registry.pending_page_count
         report.pending_undo_txns = registry.pending_loser_count
         report.loser_txn_ids = sorted(att)
-        db.log.force()
-        db.stats.bump("restarts")
         db.stats.bump("instant_restarts")
-        return report
-
-    with StopWatch(db.clock) as watch:
-        _redo(db, dpt, page_records, report)
-    report.redo_seconds = watch.elapsed
-
-    with StopWatch(db.clock) as watch:
-        _undo(db, att, report)
-    report.undo_seconds = watch.elapsed
-
+    else:
+        with StopWatch(db.clock) as watch:
+            registry.drain(loser_budget=0)
+        report.redo_seconds = watch.elapsed
+        with StopWatch(db.clock) as watch:
+            registry.drain_all()
+        report.undo_seconds = watch.elapsed
+        report.redo_pages_read = registry.pages_read
+        report.redo_records_applied = registry.records_applied
+        report.redo_pages_already_current = registry.pages_already_current
+        report.pri_repair_records = registry.pri_repair_records
+        report.loser_txn_ids = registry.undone_losers
+        report.undo_transactions = len(registry.undone_losers)
     db.log.force()
     db.stats.bump("restarts")
     return report
@@ -317,15 +324,15 @@ def _insert_pos(records: list[LogRecord], lsn: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Pass 2: redo (per-page primitives shared with instant restart)
+# Redo: the per-page primitive
 # ----------------------------------------------------------------------
 def redo_page_records(page: Page, records: list[LogRecord]) -> int:
     """Apply the missing updates from ``records`` to one page.
 
-    The per-page core of the redo pass, shared by the restart registry
-    (a pending page rolled forward on first fix) and the restore
-    registry (a pending page rebuilt from its backup image — chain
-    order or analysis order, same primitive).
+    The per-page core of redo, shared by the restart registry (a
+    pending page rolled forward from its analysis record list) and the
+    restore registry (a pending page rebuilt from its backup image —
+    chain order or analysis order, same primitive).
     Returns the number of records applied; raises
     :class:`RecoveryError` on a per-page chain mismatch (the defensive
     check of Section 5.1.4).
@@ -359,107 +366,6 @@ def redo_page_records(page: Page, records: list[LogRecord]) -> int:
         page.page_lsn = record.lsn
         applied += 1
     return applied
-
-
-def log_pri_repair(db, page: Page) -> bool:  # noqa: ANN001
-    """Figure 12, bottom row: the data page had been written before
-    the crash, but the PRI update was lost.  Generate the missing log
-    record now; applying it to the index can happen lazily, exactly as
-    in normal forward processing."""
-    if not db.config.log_completed_writes:
-        return False
-    db.log.append(LogRecord(LogRecordKind.PRI_UPDATE,
-                            page_id=page.page_id,
-                            page_lsn=page.page_lsn))
-    db.stats.bump("pri_repair_records")
-    if db.config.spf_enabled:
-        db.pri.record_write(page.page_id, page.page_lsn)
-    return True
-
-
-def _redo(db, dpt: dict[int, int], page_records: dict[int, list[LogRecord]],
-          report: RestartReport) -> None:  # noqa: ANN001
-    for page_id in sorted(dpt):
-        records = page_records.get(page_id, [])
-        if not records:
-            continue
-        page = _read_for_redo(db, page_id)
-        report.redo_pages_read += 1
-        db.stats.bump("redo_page_reads")
-        applied = redo_page_records(page, records)
-        report.redo_records_applied += applied
-        db.stats.bump("redo_records_applied", applied)
-        if applied == 0:
-            report.redo_pages_already_current += 1
-            if log_pri_repair(db, page):
-                report.pri_repair_records += 1
-        else:
-            # The page is dirty again; install it in the buffer pool so
-            # normal write-back (and PRI maintenance) applies.
-            installed = db.pool.fix_new(page)
-            db.pool.mark_dirty(page_id, records[0].lsn)
-            db.pool.unfix(page_id)
-            assert installed is page
-
-
-def _read_for_redo(db, page_id: int) -> Page:  # noqa: ANN001
-    """Fetch one page for redo; a failure here is a single-page failure."""
-    raw = db.device.raw_image(page_id)
-    if raw is None:
-        # Never reached the device: start from an unformatted page (the
-        # first record to replay is its formatting record).
-        return Page.format(db.config.page_size, page_id)
-    try:
-        data = db.device.read(page_id)
-        page = Page(db.config.page_size, data)
-        page.verify(expected_page_id=page_id)
-        if db.config.spf_enabled and db.config.pri_lsn_check:
-            # The same stale-LSN cross-check the normal read path runs
-            # (Figure 8): a lost write leaves a plausible page whose
-            # only tell is a PageLSN older than the recovery index
-            # expects.  Without this, redo would hit the chain-mismatch
-            # guard instead of repairing the page.  (Found by the chaos
-            # harness: lost write, checkpoint, update, crash.)
-            expected = db.pri.expected_page_lsn(page_id)
-            if expected is not None and page.page_lsn < expected:
-                raise SinglePageFailure(
-                    page_id, PageFailureKind.STALE_LSN,
-                    f"PageLSN {page.page_lsn} older than recovery "
-                    f"index's {expected} at restart redo")
-        return page
-    except (DeviceReadError, SinglePageFailure) as exc:
-        if isinstance(exc, SinglePageFailure):
-            failure = exc
-        else:
-            failure = SinglePageFailure(
-                page_id, PageFailureKind.DEVICE_READ_ERROR, str(exc))
-        # Single-page recovery during restart: the PRI was already
-        # reconstructed by the load + analysis phases.
-        page = db.recovery_manager.handle_failure(failure)
-        return page
-
-
-# ----------------------------------------------------------------------
-# Pass 3: undo (per-loser primitive shared with instant restart and
-# with media restore — both registries lazily undo through this)
-# ----------------------------------------------------------------------
-def undo_loser(db, txn_id: int, last_lsn: int,  # noqa: ANN001
-               is_system: bool) -> None:
-    """Roll back one loser transaction and log its ABORT record."""
-    txn = Transaction(txn_id, is_system=is_system)
-    txn.last_lsn = last_lsn
-    db.tm.rollback_work(txn, db)
-    db.log.append(LogRecord(LogRecordKind.ABORT, txn_id=txn_id,
-                            prev_lsn=txn.last_lsn))
-    db.stats.bump("restart_undo_txns")
-
-
-def _undo(db, att: dict[int, tuple[int, bool]], report: RestartReport) -> None:  # noqa: ANN001
-    losers = sorted(att.items(), key=lambda item: -item[1][0])
-    for txn_id, (last_lsn, is_system) in losers:
-        undo_loser(db, txn_id, last_lsn, is_system)
-        report.undo_transactions += 1
-        report.loser_txn_ids.append(txn_id)
 
 
 # ----------------------------------------------------------------------

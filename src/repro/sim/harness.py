@@ -68,7 +68,7 @@ from repro.errors import (
     SinglePageFailure,
 )
 from repro.sim.iomodel import HDD_PROFILE
-from repro.sim.scheduler import Event, EventScheduler
+from repro.sim.scheduler import Event, EventScheduler, shrink_events
 from repro.storage.faults import FaultKind
 from repro.txn.locks import DeadlockError, LockConflict
 from repro.wal.records import LogRecordKind
@@ -1083,32 +1083,11 @@ def execute_schedule(config: ChaosConfig, events: list[Event]) -> ChaosResult:
 # ----------------------------------------------------------------------
 def shrink_schedule(config: ChaosConfig,
                     events: list[Event]) -> list[Event]:
-    """Minimize a failing schedule by greedy event deletion.
-
-    Repeatedly re-executes the schedule with one event removed and
-    keeps every removal that still fails, looping to a fixed point
-    (bounded by ``config.max_shrink_runs`` executions).  Sound because
-    per-client RNG streams make each event's behaviour independent of
-    which other events survive.
-    """
-    def fails(candidate: list[Event]) -> bool:
-        return not execute_schedule(config, candidate).ok
-
-    current = list(events)
-    runs = 0
-    changed = True
-    while changed and runs < config.max_shrink_runs:
-        changed = False
-        index = 0
-        while index < len(current) and runs < config.max_shrink_runs:
-            candidate = current[:index] + current[index + 1:]
-            runs += 1
-            if fails(candidate):
-                current = candidate
-                changed = True
-            else:
-                index += 1
-    return current
+    """Minimize a failing schedule by greedy event deletion (bounded by
+    ``config.max_shrink_runs`` executions)."""
+    return shrink_events(
+        events, lambda candidate: not execute_schedule(config, candidate).ok,
+        config.max_shrink_runs)
 
 
 def run_chaos(config: ChaosConfig) -> ChaosResult:

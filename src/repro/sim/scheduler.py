@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 
 @dataclass(frozen=True)
@@ -105,3 +105,32 @@ class EventScheduler:
         """Pop every event in order."""
         while self._heap:
             yield self.pop()
+
+
+def shrink_events(events: list[Event], fails: Callable[[list[Event]], bool],
+                  max_runs: int) -> list[Event]:
+    """Minimize a failing schedule by greedy event deletion.
+
+    Re-runs ``fails`` with one event removed, keeping every removal
+    that still fails; after a kept removal the scan stays at the same
+    index (the next event slid into it), so one pass tries each event
+    once.  Passes repeat to a fixed point, with at most ``max_runs``
+    calls of ``fails`` in all.  Sound for the chaos harnesses because
+    per-client RNG streams make each event's behaviour independent of
+    which other events survive.
+    """
+    current = list(events)
+    runs = 0
+    changed = True
+    while changed and runs < max_runs:
+        changed = False
+        index = 0
+        while index < len(current) and runs < max_runs:
+            candidate = current[:index] + current[index + 1:]
+            runs += 1
+            if fails(candidate):
+                current = candidate
+                changed = True
+            else:
+                index += 1
+    return current

@@ -59,7 +59,7 @@ from repro.errors import (
 )
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
-from repro.sim.scheduler import Event, EventScheduler
+from repro.sim.scheduler import Event, EventScheduler, shrink_events
 from repro.txn.locks import DeadlockError, LockConflict
 from repro.workloads.fleet import ClientFleet
 
@@ -593,22 +593,11 @@ def execute_schedule(config: ShardChaosConfig,
 
 def shrink_schedule(config: ShardChaosConfig,
                     events: list[Event]) -> list[Event]:
-    """Greedy event deletion: keep removals that still fail."""
-    current = list(events)
-    runs = 0
-    improved = True
-    while improved and runs < config.max_shrink_runs:
-        improved = False
-        for i in range(len(current)):
-            candidate = current[:i] + current[i + 1:]
-            runs += 1
-            if runs > config.max_shrink_runs:
-                break
-            if not execute_schedule(config, candidate).ok:
-                current = candidate
-                improved = True
-                break
-    return current
+    """Greedy event deletion: keep removals that still fail (bounded
+    by ``config.max_shrink_runs`` executions)."""
+    return shrink_events(
+        events, lambda candidate: not execute_schedule(config, candidate).ok,
+        config.max_shrink_runs)
 
 
 def run_chaos(config: ShardChaosConfig) -> ShardChaosResult:

@@ -24,6 +24,11 @@ Two refinements keep that true in practice:
   the rollback (which fixes pages — pool mutex, frame latches) with
   the mutex *released*, because fix-path hooks acquire the registry
   mutex while holding a frame latch;
+* a restart **drain** installs each redone frame (pool mutex) while
+  holding the registry mutex.  No thread waits for a registry mutex
+  while holding the pool mutex (fix-path hooks run with it released),
+  so this cannot close a cycle; and drains run under the exclusive
+  engine latch, so no fix of the page being drained is in flight;
 * the commit barrier is waited on while holding **no** other engine
   lock (sessions release the engine latch before forcing), so riders
   can never wedge a writer.

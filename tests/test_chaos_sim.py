@@ -26,7 +26,7 @@ from repro.sim.harness import (
     run_chaos,
     shrink_schedule,
 )
-from repro.sim.scheduler import Event, EventScheduler
+from repro.sim.scheduler import Event, EventScheduler, shrink_events
 from repro.sim.stats import Stats
 from repro.storage.faults import FaultInjector, FaultKind
 from repro.workloads.fleet import ClientFleet
@@ -56,6 +56,23 @@ class TestEventScheduler:
     def test_describe_is_deterministic(self):
         event = Event(3.0, 7, "corrupt", {"rank": 5, "fault": "bit-rot"})
         assert event.describe() == "t=3 corrupt fault='bit-rot' rank=5"
+
+    def test_shrink_keeps_exactly_the_culprits_within_budget(self):
+        """A schedule that fails iff two chosen events both survive
+        shrinks to exactly those two.  Keeping the scan index after a
+        deletion tries each event once per pass (42 runs here); a scan
+        that restarts from the front after every deletion re-runs the
+        undeletable prefix and needs 87."""
+        events = [Event(float(i), i, "op") for i in range(40)]
+        runs = []
+
+        def fails(candidate):
+            runs.append(len(candidate))
+            return {7, 23} <= {event.seq for event in candidate}
+
+        assert shrink_events(events, fails, max_runs=50) == [
+            events[7], events[23]]
+        assert len(runs) <= 50
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):

@@ -1,8 +1,8 @@
 """Instant (on-demand) restart: analysis-only recovery, lazy per-page
 redo, lazy loser undo, background drain, and the completion watermark.
 
-The eager three-pass restart stays the reference behaviour; these tests
-pin down the on-demand state machine:
+Eager restart (analysis, then drain everything before open) stays the
+reference behaviour; these tests pin down the on-demand state machine:
 
     crash -> analysis -> OPEN -> {redo page on fix | undo loser on
     conflict | background drain}* -> complete (watermark recorded,
@@ -16,6 +16,7 @@ import pytest
 from repro.btree.verify import verify_tree
 from repro.engine.database import Database
 from repro.engine.config import EngineConfig
+from repro.wal.log_reader import LogReader
 from tests.conftest import fast_config, key_of, value_of
 
 
@@ -105,6 +106,41 @@ class TestOnDemandRestart:
         assert db.last_restart_completion_lsn is not None
         tree = db.tree(1)
         assert tree.lookup(key_of(1)) == value_of(1, 0)
+        assert verify_tree(tree).ok
+
+    def test_drain_replays_analysis_lists_without_chain_walks(
+            self, monkeypatch):
+        """A demand fix rolls its page forward along the per-page
+        chain; the drain recovers the rest from the analysis record
+        lists the scan already holds, walking no chain at all."""
+        db, tree = loaded(400)
+        db.flush_everything()
+        txn = db.begin()
+        for i in range(0, 400, 10):  # committed, never written back
+            db.update(tree, key_of(i), b"wave", txn=txn)
+        db.commit(txn)
+        db.crash()
+        report = db.restart(mode="on_demand")
+        assert report.pending_redo_pages > 1
+        walks = []
+        walk = LogReader.walk_page_chain
+
+        def counting_walk(self, *args, **kwargs):
+            walks.append(args)
+            return walk(self, *args, **kwargs)
+
+        monkeypatch.setattr(LogReader, "walk_page_chain", counting_walk)
+        page_id = min(db.restart_registry.pending_pages)
+        redone = db.stats.get("lazy_redo_pages")
+        db.pool.fix(page_id)
+        db.pool.unfix(page_id)
+        assert db.stats.get("lazy_redo_pages") == redone + 1
+        assert walks
+        walks.clear()
+        assert db.finish_restart() == (report.pending_redo_pages - 1, 0)
+        assert walks == []
+        tree = db.tree(1)
+        assert tree.lookup(key_of(390)) == b"wave"
         assert verify_tree(tree).ok
 
     def test_watermark_gates_log_truncation(self):

@@ -1,9 +1,9 @@
 """Integration tests: on-demand media restore and its state machine.
 
-The restore registry mirrors the restart registry: pages restored on
-first fix, losers undone on lock conflict, a budgeted background
-drain, and a completion watermark that gates checkpointing, log
-truncation, and backup retirement.
+The restore registry runs the restart registry's state machine: pages
+restored on first fix, losers undone on lock conflict, a budgeted
+background drain, and a completion watermark that gates checkpointing,
+log truncation, and backup retirement.
 """
 
 from __future__ import annotations
@@ -84,6 +84,17 @@ class TestOnDemandRestore:
         assert not db.restore_pending
         assert db.last_restore_completion_lsn is not None
         assert db.stats.get("instant_restore_completions") == 1
+
+    def test_drained_loser_counts_as_restore_undo_only(self):
+        """A media-restore loser is rolled back by the restore, not by
+        a restart: it must not also count under restart_undo_txns."""
+        db, tree, backup_id = restorable_db()
+        fail_media(db)
+        report = db.recover_media(backup_id, mode="on_demand")
+        assert report.pending_undo_txns == 1
+        db.finish_restore()
+        assert db.stats.get("restore_undo_txns") == 1
+        assert db.stats.get("restart_undo_txns") == 0
 
     def test_loser_undone_on_lock_conflict(self):
         db, tree, backup_id = restorable_db()
